@@ -8,7 +8,9 @@
 //!    one chunk-sized seal, isolating the crypto rewrite's win.
 //! 2. **Chunk-path wall clock** — `nexus_core::datapath::{seal,open}_chunks`
 //!    over an N-chunk file at 1/2/4/8 worker threads, asserting the
-//!    parallel ciphertext is byte-identical to serial before timing.
+//!    parallel ciphertext is byte-identical to serial before timing. Both
+//!    measurements run on the lane the CPU dispatches to (recorded as
+//!    `lane` in the JSON), the one every production seal uses.
 //! 3. **Pipeline model** — the host this runs on may have fewer cores than
 //!    the sweep (CI containers are often single-core), so the JSON also
 //!    carries the ideal-pipeline speedup `chunks / ceil(chunks / n)`
@@ -26,7 +28,6 @@ use std::time::Duration;
 use nexus_bench::json::Json;
 use nexus_bench::{arg_flag, arg_string, arg_usize, measure_micro, nanos, rule};
 use nexus_core::datapath::{open_chunks, seal_chunks};
-use nexus_core::CryptoProfile;
 use nexus_core::metadata::filenode::{ChunkContext, Filenode};
 use nexus_core::NexusUuid;
 use nexus_crypto::gcm::AesGcm;
@@ -47,12 +48,13 @@ fn main() {
     let chunk_size = chunk_kib * 1024;
     let file_bytes = file_mib * 1024 * 1024;
     let host_threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+    let lane = format!("{:?}", nexus_crypto::cpu::default_backend());
 
     rule(78);
     println!("micro_datapath — serial vs parallel chunk data path");
     println!(
         "file {file_mib} MiB in {chunk_kib} KiB chunks; host parallelism {host_threads}; \
-         median of 5 batched samples"
+         {lane} lane; median of 5 batched samples"
     );
     rule(78);
 
@@ -91,17 +93,17 @@ fn main() {
     fnode.size = file_bytes as u64;
     fnode.chunks = contexts.clone();
 
-    let serial_ct = seal_chunks(&ThreadPool::new(1), CryptoProfile::Fast, &uuid, &data, chunk_size, &contexts);
+    let serial_ct = seal_chunks(&ThreadPool::new(1), &uuid, &data, chunk_size, &contexts);
     let mut seal_wall = Vec::new();
     let mut open_wall = Vec::new();
     for &threads in &THREAD_SWEEP {
         let pool = ThreadPool::new(threads);
         // Determinism gate: never time a configuration whose bytes differ.
-        let ct = seal_chunks(&pool, CryptoProfile::Fast, &uuid, &data, chunk_size, &contexts);
+        let ct = seal_chunks(&pool, &uuid, &data, chunk_size, &contexts);
         assert_eq!(ct, serial_ct, "parallel ciphertext diverged at {threads} threads");
-        let t_seal = measure_micro(|| seal_chunks(&pool, CryptoProfile::Fast, &uuid, &data, chunk_size, &contexts));
+        let t_seal = measure_micro(|| seal_chunks(&pool, &uuid, &data, chunk_size, &contexts));
         let t_open =
-            measure_micro(|| open_chunks(&pool, CryptoProfile::Fast, &fnode, &serial_ct, 0, n_chunks as u64).unwrap());
+            measure_micro(|| open_chunks(&pool, &fnode, &serial_ct, 0, n_chunks as u64).unwrap());
         println!(
             "chunk path {threads} thread(s)   seal {:>10} ({:>7.1} MiB/s)   open {:>10} ({:>7.1} MiB/s)",
             nanos(t_seal),
@@ -135,6 +137,7 @@ fn main() {
             .field("emitter", Json::Str("nexus-bench micro_datapath (scripts/bench.sh)".into()))
             .field("smoke", Json::Bool(smoke))
             .field("host_parallelism", Json::Int(host_threads as i64))
+            .field("lane", Json::Str(lane))
             .field("file_bytes", Json::Int(file_bytes as i64))
             .field("chunk_bytes", Json::Int(chunk_size as i64))
             .field("chunks", Json::Int(n_chunks as i64))

@@ -1,17 +1,16 @@
 //! The AES block cipher (FIPS 197), supporting 128- and 256-bit keys.
 //!
 //! Three engines live behind one API, selected at key expansion
-//! ([`CryptoProfile`] / [`CryptoBackend`]): the [`CryptoProfile::Fast`]
-//! lane encrypts through fused T-tables and decrypts byte-oriented, both
-//! indexing tables by secret-derived values; the default
-//! [`CryptoProfile::ConstantTime`] profile resolves through
-//! [`crate::cpu`] to either the AES-NI engine ([`crate::aes_ni`], on
-//! x86_64 CPUs that have it — constant-time on dedicated silicon and
-//! faster than the tables) or the portable bitsliced [`crate::aes_ct`]
-//! engine, whose keys expand through an algebraic S-box so no memory
-//! access depends on key or data bytes. All lanes are the foundation for
-//! the [`crate::gcm`] and [`crate::gcm_siv`] AEAD modes used throughout
-//! NEXUS and produce identical ciphertext.
+//! ([`CryptoBackend`]). [`Aes::new`] resolves through [`crate::cpu`] to
+//! either the AES-NI engine ([`crate::aes_ni`], on x86_64 CPUs that have
+//! it — constant-time on dedicated silicon) or the portable bitsliced
+//! [`crate::aes_ct`] engine, whose keys expand through an algebraic S-box
+//! so no memory access depends on key or data bytes. The T-table engine
+//! (fused T-tables for encryption, byte-oriented decryption, both indexing
+//! tables by secret-derived values) is reachable only through
+//! [`Aes::with_backend`]. All engines are the foundation for the
+//! [`crate::gcm`] and [`crate::gcm_siv`] AEAD modes used throughout NEXUS
+//! and produce identical ciphertext.
 //!
 //! # Examples
 //!
@@ -30,7 +29,7 @@
 use crate::aes_ct::{self, AesCt};
 #[cfg(target_arch = "x86_64")]
 use crate::aes_ni::AesNi;
-use crate::{CryptoBackend, CryptoProfile};
+use crate::CryptoBackend;
 
 /// The AES S-box (crate-visible so the bitsliced lane's tests can verify
 /// their algebraic S-box against it for all 256 inputs).
@@ -152,7 +151,7 @@ fn te_tables() -> &'static [[u32; 256]; 4] {
 /// [`CryptoBackend`]).
 #[derive(Clone)]
 enum Engine {
-    /// T-table fast lane (state lives in `Aes::round_keys_u32`).
+    /// T-table engine (state lives in `Aes::round_keys_u32`).
     Table,
     /// Portable bitsliced constant-time lane.
     Bitsliced(AesCt),
@@ -184,32 +183,22 @@ impl std::fmt::Debug for Aes {
 }
 
 impl Aes {
-    /// Expands a key of the given size under the default profile
-    /// ([`CryptoProfile::ConstantTime`]).
+    /// Expands a key of the given size on the engine the CPU dispatches
+    /// to ([`crate::cpu::default_backend`]): AES-NI when the CPU has it,
+    /// else the bitsliced engine.
     ///
     /// # Panics
     ///
     /// Panics if `key.len()` does not match `size` (16 bytes for
     /// [`KeySize::Aes128`], 32 for [`KeySize::Aes256`]).
     pub fn new(key: &[u8], size: KeySize) -> Aes {
-        Aes::with_profile(key, size, CryptoProfile::default())
-    }
-
-    /// Expands a key for the given lane. [`CryptoProfile::ConstantTime`]
-    /// resolves through [`crate::cpu::constant_time_backend`] to the
-    /// AES-NI engine when the CPU has it, else the bitsliced engine.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `key.len()` does not match `size`.
-    pub fn with_profile(key: &[u8], size: KeySize, profile: CryptoProfile) -> Aes {
-        Aes::with_backend(key, size, crate::cpu::backend_for(profile))
+        Aes::with_backend(key, size, crate::cpu::default_backend())
     }
 
     /// Expands a key for one *specific* engine, bypassing CPU dispatch.
-    /// Normal callers want [`Aes::with_profile`]; this exists so the
+    /// Normal callers want [`Aes::new`]; this exists only so the
     /// differential test suites and the `micro_ct` bench can pin each
-    /// lane regardless of host CPU or the force-portable override.
+    /// lane regardless of host CPU.
     ///
     /// # Panics
     ///
@@ -289,14 +278,6 @@ impl Aes {
             _ => Engine::Bitsliced(AesCt::from_round_keys(&round_keys)),
         };
         Aes { round_keys, round_keys_u32, engine, rounds: nr }
-    }
-
-    /// The profile this key was expanded for.
-    pub fn profile(&self) -> CryptoProfile {
-        match self.engine {
-            Engine::Table => CryptoProfile::Fast,
-            _ => CryptoProfile::ConstantTime,
-        }
     }
 
     /// The concrete engine this key dispatches to.
@@ -788,7 +769,7 @@ mod tests {
     }
 
     #[test]
-    fn fips197_vectors_pass_under_constant_time_profile() {
+    fn fips197_vectors_pass_on_default_engine() {
         let cases: [(&str, &str, &str); 3] = [
             (
                 "2b7e151628aed2a6abf7158809cf4f3c",
@@ -809,8 +790,7 @@ mod tests {
         for (key_hex, plain_hex, cipher_hex) in cases {
             let key = unhex(key_hex);
             let size = if key.len() == 16 { KeySize::Aes128 } else { KeySize::Aes256 };
-            let aes = Aes::with_profile(&key, size, CryptoProfile::ConstantTime);
-            assert_eq!(aes.profile(), CryptoProfile::ConstantTime);
+            let aes = Aes::new(&key, size);
             let mut block: [u8; 16] = unhex(plain_hex).try_into().unwrap();
             aes.encrypt_block(&mut block);
             assert_eq!(block.to_vec(), unhex(cipher_hex));
@@ -827,8 +807,8 @@ mod tests {
             let key16: [u8; 16] = rng.bytes();
             let key32: [u8; 32] = rng.bytes();
             for (key, size) in [(&key16[..], KeySize::Aes128), (&key32[..], KeySize::Aes256)] {
-                let fast = Aes::with_profile(key, size, CryptoProfile::Fast);
-                let hard = Aes::with_profile(key, size, CryptoProfile::ConstantTime);
+                let fast = Aes::with_backend(key, size, CryptoBackend::Table);
+                let hard = Aes::new(key, size);
                 let mut batch = [[0u8; 16]; 8];
                 for b in batch.iter_mut() {
                     *b = rng.bytes();
@@ -854,7 +834,7 @@ mod tests {
         for _ in 0..20 {
             let key: [u8; 16] = rng.bytes();
             let plain: [u8; 16] = rng.bytes();
-            let fast = Aes::with_profile(&key, KeySize::Aes128, CryptoProfile::Fast);
+            let fast = Aes::with_backend(&key, KeySize::Aes128, CryptoBackend::Table);
             let mut expect = plain;
             fast.encrypt_block(&mut expect);
             let mut traced = plain;
@@ -886,10 +866,14 @@ mod tests {
     }
 
     #[test]
-    fn default_profile_is_constant_time() {
-        let aes = Aes::new_128(&[0u8; 16]);
-        assert_eq!(aes.profile(), CryptoProfile::ConstantTime);
-        assert_ne!(aes.backend(), CryptoBackend::Table);
+    fn default_constructor_resolves_to_cpu_engine() {
+        let expect = if crate::cpu::hw_accel_available() {
+            CryptoBackend::HwAccel
+        } else {
+            CryptoBackend::Bitsliced
+        };
+        assert_eq!(Aes::new_128(&[0u8; 16]).backend(), expect);
+        assert_eq!(Aes::new_256(&[0u8; 32]).backend(), expect);
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! AES through the x86_64 AES-NI instructions (the hardware half of the
-//! [`crate::CryptoProfile::ConstantTime`] profile, alongside
+//! AES through the x86_64 AES-NI instructions (the hardware constant-time
+//! engine, [`crate::CryptoBackend::HwAccel`], alongside
 //! [`crate::ghash_clmul`]).
 //!
 //! AESENC/AESENCLAST execute one full round per instruction on dedicated
@@ -304,7 +304,7 @@ mod tests {
     use super::*;
     use crate::aes::Aes;
     use crate::test_util::unhex;
-    use crate::CryptoProfile;
+    use crate::CryptoBackend;
 
     /// Every test self-skips on silicon without AES-NI: the dispatch layer
     /// never selects this lane there, so there is nothing to test.
@@ -358,7 +358,7 @@ mod tests {
             let key32: [u8; 32] = rng.bytes();
             for (key, size) in [(&key16[..], KeySize::Aes128), (&key32[..], KeySize::Aes256)] {
                 let ni = AesNi::new(key, size);
-                let fast = Aes::with_profile(key, size, CryptoProfile::Fast);
+                let fast = Aes::with_backend(key, size, CryptoBackend::Table);
                 let plain: [u8; 16] = rng.bytes();
                 let mut a = plain;
                 let mut b = plain;

@@ -1,37 +1,27 @@
 //! Runtime CPU-feature detection and crypto-lane dispatch.
 //!
-//! The hardened [`crate::CryptoProfile::ConstantTime`] profile has two
-//! interchangeable engines: the portable bitsliced lane
-//! ([`crate::aes_ct`]/[`crate::ghash_ct`]) and the hardware lane
-//! ([`crate::aes_ni`]/[`crate::ghash_clmul`]) built on AES-NI and
-//! PCLMULQDQ. Both are constant-time and byte-identical; this module
-//! decides which one a freshly expanded key uses:
+//! Every key expansion behind `Aes::new`, `AesGcm::new` and
+//! `AesGcmSiv::new` runs on one of two interchangeable constant-time
+//! engines: the hardware lane ([`crate::aes_ni`]/[`crate::ghash_clmul`])
+//! built on AES-NI and PCLMULQDQ, or the portable bitsliced lane
+//! ([`crate::aes_ct`]/[`crate::ghash_ct`]). Both are byte-identical; the
+//! CPU alone decides which one a fresh key uses:
 //!
 //! - on x86_64 with the AES and PCLMULQDQ CPUID bits set → hardware lane;
-//! - forced portable (env `NEXUS_CRYPTO_FORCE_PORTABLE` or
-//!   [`set_force_portable`], e.g. from `NexusConfig`) → bitsliced lane;
-//! - any other architecture → bitsliced lane, unconditionally (the
-//!   hardware modules are not even compiled there).
+//! - anywhere else → bitsliced lane (the hardware modules are not even
+//!   compiled off x86_64).
+//!
+//! No setting changes that choice. The explicit `with_backend`
+//! constructors pin an engine for tests and the `micro_ct` lane bench.
 //!
 //! Detection runs our own `CPUID` wrapper rather than
 //! `is_x86_feature_detected!` so the dispatch logic stays auditable and
 //! identical across std versions: leaf 1, `ECX` bit 25 (`AESNI`) and
 //! bit 1 (`PCLMULQDQ`).
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::OnceLock;
 
 use crate::CryptoBackend;
-use crate::CryptoProfile;
-
-/// Environment variable that forces the portable bitsliced lane even when
-/// the CPU advertises AES-NI/PCLMULQDQ. Any value other than empty or `0`
-/// forces portable. Read once per process.
-pub const FORCE_PORTABLE_ENV: &str = "NEXUS_CRYPTO_FORCE_PORTABLE";
-
-/// Process-wide runtime override (set from `NexusConfig` at volume
-/// create/mount). OR-ed with the environment variable; never un-forces it.
-static FORCE_PORTABLE: AtomicBool = AtomicBool::new(false);
 
 /// CPUID leaf 1 ECX bit 25: the AESENC/AESDEC/AESKEYGENASSIST family.
 #[cfg(target_arch = "x86_64")]
@@ -65,54 +55,19 @@ fn detect_hw_accel() -> bool {
     false
 }
 
-/// True when the environment variable forces the portable lane.
-fn env_force_portable() -> bool {
-    static FORCED: OnceLock<bool> = OnceLock::new();
-    *FORCED.get_or_init(|| match std::env::var(FORCE_PORTABLE_ENV) {
-        Ok(v) => !(v.is_empty() || v == "0"),
-        Err(_) => false,
-    })
-}
-
-/// Forces (or releases the runtime half of) the portable-lane override.
-/// The environment variable always wins: `set_force_portable(false)` never
-/// re-enables hardware when `NEXUS_CRYPTO_FORCE_PORTABLE` is set.
-///
-/// Applied by `nexus-core` when `NexusConfig::force_portable_crypto` is set
-/// at volume create/mount. Affects keys expanded *after* the call; already
-/// constructed ciphers keep their lane (the lanes are byte-identical, so
-/// mixing them is safe).
-pub fn set_force_portable(on: bool) {
-    FORCE_PORTABLE.store(on, Ordering::Relaxed);
-}
-
-/// Current effective force-portable state (env OR runtime flag).
-pub fn force_portable() -> bool {
-    env_force_portable() || FORCE_PORTABLE.load(Ordering::Relaxed)
-}
-
-/// The dispatch table as a pure function of its inputs, so tests can
-/// assert every row without racing on process-global state.
-pub fn backend_for_flags(hw_available: bool, force_portable: bool) -> CryptoBackend {
-    if hw_available && !force_portable {
+/// The dispatch table as a pure function of its input, so tests can
+/// assert both rows regardless of the host CPU.
+pub fn backend_for_flags(hw_available: bool) -> CryptoBackend {
+    if hw_available {
         CryptoBackend::HwAccel
     } else {
         CryptoBackend::Bitsliced
     }
 }
 
-/// The engine a [`crate::CryptoProfile::ConstantTime`] key expanded right
-/// now would use.
-pub fn constant_time_backend() -> CryptoBackend {
-    backend_for_flags(hw_accel_available(), force_portable())
-}
-
-/// Resolves a profile to the concrete engine for a fresh key expansion.
-pub(crate) fn backend_for(profile: CryptoProfile) -> CryptoBackend {
-    match profile {
-        CryptoProfile::Fast => CryptoBackend::Table,
-        CryptoProfile::ConstantTime => constant_time_backend(),
-    }
+/// The engine a key expanded right now by a default constructor uses.
+pub fn default_backend() -> CryptoBackend {
+    backend_for_flags(hw_accel_available())
 }
 
 #[cfg(test)]
@@ -121,25 +76,16 @@ mod tests {
 
     #[test]
     fn dispatch_table() {
-        // CPUID present, no override → intrinsics.
-        assert_eq!(backend_for_flags(true, false), CryptoBackend::HwAccel);
-        // Forced portable → bitsliced, even with hardware present.
-        assert_eq!(backend_for_flags(true, true), CryptoBackend::Bitsliced);
-        // No hardware → bitsliced regardless of the override.
-        assert_eq!(backend_for_flags(false, false), CryptoBackend::Bitsliced);
-        assert_eq!(backend_for_flags(false, true), CryptoBackend::Bitsliced);
-    }
-
-    #[test]
-    fn fast_profile_always_resolves_to_table() {
-        assert_eq!(backend_for(CryptoProfile::Fast), CryptoBackend::Table);
+        // CPUID bits present → intrinsics; absent → bitsliced.
+        assert_eq!(backend_for_flags(true), CryptoBackend::HwAccel);
+        assert_eq!(backend_for_flags(false), CryptoBackend::Bitsliced);
     }
 
     #[cfg(not(target_arch = "x86_64"))]
     #[test]
     fn non_x86_compiles_to_bitsliced_unconditionally() {
         assert!(!hw_accel_available());
-        assert_eq!(constant_time_backend(), CryptoBackend::Bitsliced);
+        assert_eq!(default_backend(), CryptoBackend::Bitsliced);
     }
 
     #[cfg(target_arch = "x86_64")]
@@ -148,25 +94,5 @@ mod tests {
         // The cached answer must equal a fresh CPUID query.
         assert_eq!(hw_accel_available(), detect_hw_accel());
         assert_eq!(hw_accel_available(), detect_hw_accel());
-    }
-
-    /// Runtime override and its interaction with detection. One test (not
-    /// several) because `set_force_portable` is process-global; everything
-    /// else in the crate derives lane choice through `backend_for_flags`
-    /// or explicit `with_backend` constructors, so this toggle does not
-    /// race with other tests' correctness.
-    #[test]
-    fn runtime_override_forces_bitsliced() {
-        set_force_portable(true);
-        assert!(force_portable());
-        assert_eq!(constant_time_backend(), CryptoBackend::Bitsliced);
-        set_force_portable(false);
-        // With the runtime flag cleared, the env var (unset in the test
-        // runner) is the only remaining source of forcing.
-        assert_eq!(force_portable(), env_force_portable());
-        assert_eq!(
-            constant_time_backend(),
-            backend_for_flags(hw_accel_available(), env_force_portable())
-        );
     }
 }

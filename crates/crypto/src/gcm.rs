@@ -19,7 +19,7 @@
 use crate::aes::{Aes, KeySize};
 use crate::ct::ct_eq;
 use crate::ghash_ct::ghash_mul_ct;
-use crate::{AeadError, CryptoBackend, CryptoProfile};
+use crate::{AeadError, CryptoBackend};
 
 /// Length in bytes of the GCM authentication tag.
 pub const TAG_LEN: usize = 16;
@@ -288,30 +288,21 @@ impl std::fmt::Debug for AesGcm {
 }
 
 impl AesGcm {
-    /// Creates a context from a raw key of 16 or 32 bytes, under the
-    /// default profile ([`CryptoProfile::ConstantTime`]).
+    /// Creates a context from a raw key of 16 or 32 bytes on the engine
+    /// the CPU dispatches to ([`crate::cpu::default_backend`]): AES-NI +
+    /// PCLMULQDQ when the CPU has them, bitsliced/masked multiplies
+    /// otherwise, byte-identical in every case.
     ///
     /// # Panics
     ///
     /// Panics if the key is not 16 or 32 bytes long.
     pub fn new(key: &[u8]) -> AesGcm {
-        AesGcm::with_profile(key, CryptoProfile::default())
+        AesGcm::with_backend(key, crate::cpu::default_backend())
     }
 
-    /// Creates a context in the given lane; the ConstantTime lane runs on
-    /// AES-NI + PCLMULQDQ when the CPU has them and bitsliced/masked
-    /// multiplies otherwise, with output byte-identical to the Fast lane
-    /// in every case.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the key is not 16 or 32 bytes long.
-    pub fn with_profile(key: &[u8], profile: CryptoProfile) -> AesGcm {
-        AesGcm::with_backend(key, crate::cpu::backend_for(profile))
-    }
-
-    /// Creates a context on one *specific* engine, bypassing CPU dispatch
-    /// (see [`Aes::with_backend`]).
+    /// Creates a context on one *specific* engine, bypassing CPU dispatch;
+    /// only tests and the `micro_ct` bench call it (see
+    /// [`Aes::with_backend`]).
     ///
     /// # Panics
     ///
@@ -329,11 +320,6 @@ impl AesGcm {
         // Key the GHASH lane off the cipher's resolved backend so AES and
         // GHASH never split across engines.
         AesGcm { h: GhashKey::new(u128::from_be_bytes(h_block), aes.backend()), aes }
-    }
-
-    /// The profile this context was created for.
-    pub fn profile(&self) -> CryptoProfile {
-        self.aes.profile()
     }
 
     /// The concrete engine this context dispatches to.
@@ -577,6 +563,17 @@ mod tests {
         v
     }
 
+    #[test]
+    fn default_constructor_resolves_to_cpu_engine() {
+        let expect = if crate::cpu::hw_accel_available() {
+            CryptoBackend::HwAccel
+        } else {
+            CryptoBackend::Bitsliced
+        };
+        assert_eq!(AesGcm::new_128(&[7u8; 16]).backend(), expect);
+        assert_eq!(AesGcm::new_256(&[7u8; 32]).backend(), expect);
+    }
+
     /// Every vector runs under all lanes: each must reproduce the NIST
     /// ciphertext and tag bit-for-bit.
     fn check(key: &str, iv: &str, pt: &str, aad: &str, ct: &str, tag: &str) {
@@ -761,7 +758,7 @@ mod tests {
                     let (ct_c, tag_c) = hard.seal_detached(&nonce, b"aad", &pt);
                     assert_eq!(ct_f, ct_c, "ciphertext diverged at len {len} ({backend:?})");
                     assert_eq!(tag_f, tag_c, "tag diverged at len {len} ({backend:?})");
-                    // Cross-lane open: sealed Fast, opened hardened.
+                    // Cross-lane open: sealed on tables, opened hardened.
                     assert_eq!(hard.open_detached(&nonce, b"aad", &ct_f, &tag_f).unwrap(), pt);
                 }
             }

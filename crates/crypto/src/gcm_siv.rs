@@ -19,7 +19,7 @@ use crate::aes::{Aes, KeySize};
 use crate::ct::ct_eq;
 use crate::gcm::{build_table, table_mul, ShoupTable, GHASH_BATCH_MIN};
 use crate::ghash_ct::ghash_mul_ct;
-use crate::{AeadError, CryptoBackend, CryptoProfile};
+use crate::{AeadError, CryptoBackend};
 
 /// Length in bytes of the GCM-SIV authentication tag.
 pub const TAG_LEN: usize = 16;
@@ -258,30 +258,20 @@ impl std::fmt::Debug for AesGcmSiv {
 }
 
 impl AesGcmSiv {
-    /// Creates a context from a 16- or 32-byte key-generating key.
+    /// Creates a context from a 16- or 32-byte key-generating key. AES and
+    /// POLYVAL run through hardware intrinsics or the table-free portable
+    /// fallback, as the CPU dispatches ([`crate::cpu::default_backend`]).
     ///
     /// # Panics
     ///
     /// Panics if the key is not 16 or 32 bytes.
     pub fn new(key: &[u8]) -> AesGcmSiv {
-        AesGcmSiv::with_profile(key, CryptoProfile::default())
+        AesGcmSiv::with_backend(key, crate::cpu::default_backend())
     }
 
-    /// Creates a context in the given lane; the ConstantTime lane runs AES
-    /// and POLYVAL through hardware intrinsics or the table-free portable
-    /// fallback ([`crate::cpu::constant_time_backend`]), with output
-    /// byte-identical to the Fast lane.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the key is not 16 or 32 bytes.
-    pub fn with_profile(key: &[u8], profile: CryptoProfile) -> AesGcmSiv {
-        AesGcmSiv::with_backend(key, crate::cpu::backend_for(profile))
-    }
-
-    /// Creates a context pinned to a concrete engine (differential tests
-    /// and benchmarks; normal callers go through [`AesGcmSiv::new`] or
-    /// [`AesGcmSiv::with_profile`]).
+    /// Creates a context pinned to a concrete engine. Only the
+    /// differential tests and the `micro_ct` bench call it; normal callers
+    /// go through [`AesGcmSiv::new`].
     ///
     /// # Panics
     ///
@@ -294,11 +284,6 @@ impl AesGcmSiv {
             n => panic!("AES-GCM-SIV key must be 16 or 32 bytes, got {n}"),
         };
         AesGcmSiv { kgk: Aes::with_backend(key, size, backend), key_len: key.len() }
-    }
-
-    /// The lane this context was created for.
-    pub fn profile(&self) -> CryptoProfile {
-        self.kgk.profile()
     }
 
     /// The concrete engine the cached key schedule was expanded for.
@@ -644,7 +629,7 @@ mod tests {
                     let (ct_c, tag_c) = hard.seal_detached(&nonce, b"wrap", &pt);
                     assert_eq!(ct_f, ct_c, "ciphertext diverged at len {len} ({backend:?})");
                     assert_eq!(tag_f, tag_c, "tag diverged at len {len} ({backend:?})");
-                    // Cross-lane open: wrapped Fast, unwrapped hardened.
+                    // Cross-lane open: wrapped on tables, unwrapped hardened.
                     assert_eq!(hard.open_detached(&nonce, b"wrap", &ct_f, &tag_f).unwrap(), pt);
                 }
             }
@@ -652,10 +637,14 @@ mod tests {
     }
 
     #[test]
-    fn default_profile_is_constant_time() {
-        let siv = AesGcmSiv::new_256(&[7u8; 32]);
-        assert_eq!(siv.profile(), CryptoProfile::ConstantTime);
-        assert_ne!(siv.backend(), CryptoBackend::Table);
+    fn default_constructor_resolves_to_cpu_engine() {
+        let expect = if crate::cpu::hw_accel_available() {
+            CryptoBackend::HwAccel
+        } else {
+            CryptoBackend::Bitsliced
+        };
+        assert_eq!(AesGcmSiv::new_128(&[7u8; 16]).backend(), expect);
+        assert_eq!(AesGcmSiv::new_256(&[7u8; 32]).backend(), expect);
     }
 
     #[test]

@@ -23,26 +23,26 @@
 //!
 //! ## Hardening note
 //!
-//! Two runtime profiles share every public API ([`CryptoProfile`]):
+//! The symmetric hot paths (AES, GHASH/POLYVAL) never index memory or
+//! branch on key or message bytes. Each key expansion picks one of two
+//! constant-time engines ([`CryptoBackend`], chosen by the CPU alone in
+//! [`cpu::default_backend`]): on x86_64 CPUs advertising AES-NI and
+//! PCLMULQDQ, the hardware lane ([`aes_ni`], [`ghash_clmul`]) runs the
+//! cipher on dedicated silicon; everywhere else, the bitsliced AES
+//! ([`aes_ct`]) and masked carryless multiply ([`ghash_ct`]) fallback. No
+//! configuration can change that choice.
 //!
-//! - [`CryptoProfile::Fast`] encrypts through AES T-tables and Shoup-table
-//!   GHASH/POLYVAL — written for correctness and auditability, but its
-//!   table lookups are indexed by secret-derived values and therefore leak
-//!   through caches;
-//! - [`CryptoProfile::ConstantTime`] — the **default** — never indexes
-//!   memory or branches on key or message bytes. It dispatches at key
-//!   expansion between two engines ([`CryptoBackend`], chosen by
-//!   [`cpu::constant_time_backend`]): on x86_64 CPUs advertising AES-NI
-//!   and PCLMULQDQ, the hardware lane ([`aes_ni`], [`ghash_clmul`]) runs
-//!   the cipher on dedicated silicon — constant-time *and* faster than
-//!   the table lane; everywhere else (or when forced portable via
-//!   [`cpu::FORCE_PORTABLE_ENV`]), the bitsliced AES ([`aes_ct`]) and
-//!   masked carryless multiply ([`ghash_ct`]) fallback.
+//! A third engine, AES T-tables with Shoup-table GHASH/POLYVAL, survives
+//! only behind the explicit `with_backend(.., CryptoBackend::Table)`
+//! constructors: its table lookups are indexed by secret-derived values
+//! and leak through caches, which makes it the reference the differential
+//! suites compare against, the leaky fixture the timing harness must flag,
+//! and the baseline of the `micro_ct` lane bench.
 //!
-//! All three lanes produce byte-identical output (differentially tested on
-//! every RFC vector and by the cross-lane property suite), and the
-//! `nexus-testkit` timing-leak harness flags the Fast lane while passing
-//! the hardened ones. Tag comparisons are branchless in every profile
+//! All three engines produce byte-identical output (differentially tested
+//! on every RFC vector and by the cross-lane property suite), and the
+//! `nexus-testkit` timing-leak harness flags the table engine while passing
+//! the hardened ones. Tag comparisons are branchless on every engine
 //! ([`ct::ct_eq`]), and key-holding types volatilely zeroize their material
 //! on `Drop` ([`ct::zeroize`]) — including the hardware lane's round-key
 //! and H-power state.
@@ -79,32 +79,17 @@ pub mod rng;
 pub mod sha2;
 pub mod x25519;
 
-/// Which implementation lane the symmetric hot paths (AES, GHASH/POLYVAL)
-/// run through. See the crate-level hardening note.
+/// The concrete engine a key was expanded for. The default constructors
+/// (`Aes::new`, `AesGcm::new`, `AesGcmSiv::new`) pick it from the CPU
+/// ([`cpu::default_backend`]); the `with_backend` constructors pin one and
+/// exist only for tests and the `micro_ct` lane bench.
 ///
-/// The profiles are bit-for-bit compatible: ciphertexts and tags are
-/// identical, so data sealed under one profile opens under the other.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CryptoProfile {
-    /// Table-driven lane: AES T-tables, Shoup-table GHASH/POLYVAL.
-    /// Secret-indexed loads leak through caches — only for benchmarks and
-    /// differential testing, no longer the default.
-    Fast,
-    /// Hardened lane (the default): no secret-dependent memory access or
-    /// branch. Runs on AES-NI + PCLMULQDQ where the CPU has them
-    /// ([`CryptoBackend::HwAccel`]), which also makes it the *fastest*
-    /// lane there; falls back to bitsliced AES and masked
-    /// carryless-multiply GHASH/POLYVAL ([`CryptoBackend::Bitsliced`]).
-    #[default]
-    ConstantTime,
-}
-
-/// The concrete engine a key was expanded for — the dispatch tier below
-/// [`CryptoProfile`]. Which backend `ConstantTime` resolves to is decided
-/// at key-expansion time by [`cpu::constant_time_backend`].
+/// The engines are bit-for-bit compatible: ciphertexts and tags are
+/// identical, so data sealed on one engine opens on any other.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CryptoBackend {
-    /// T-table / Shoup-table engine ([`CryptoProfile::Fast`]).
+    /// T-table / Shoup-table engine. Secret-indexed loads leak through
+    /// caches — reachable only through `with_backend`, never by default.
     Table,
     /// Portable bitsliced + masked-multiply engine.
     Bitsliced,

@@ -7,7 +7,6 @@
 //! time, and the async storage adapter overlapping lanes in simulated time.
 
 use std::sync::Arc;
-use std::time::Duration;
 
 use nexus_exec::io::AsyncStorage;
 use nexus_exec::{Executor, MAX_WORKERS};

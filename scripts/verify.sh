@@ -83,6 +83,45 @@ if [ -n "$ct_offenders" ]; then
 fi
 echo "ok: hardened crypto modules are table-free outside their test modules"
 
+echo "== crypto lane-selection audit =="
+# The CPU alone picks the crypto engine (DESIGN.md §11, §13): the default
+# constructors dispatch through crates/crypto/src/cpu.rs, and no setting
+# may change that. Two static gates keep a selector from coming back:
+#  1. pinning an engine (`with_backend`, `CryptoBackend::`) is reserved
+#     for nexus-crypto itself, tests, and the micro_ct lane bench, so no
+#     other non-test code may do it (code after `#[cfg(test)]` and files
+#     under a tests/ directory are exempt);
+#  2. the removed user-facing selectors may not reappear anywhere, tests
+#     included.
+lane_exempt="crates/crypto/src/cpu.rs crates/bench/src/bin/micro_ct.rs"
+for f in $lane_exempt; do
+    # A moved dispatch module or lane bench must fail here, not leave the
+    # exemption pointing at nothing.
+    [ -f "$f" ] || { echo "FAIL: lane-selection audit file missing: $f" >&2; exit 1; }
+done
+lane_offenders=$(find crates src examples -name '*.rs' -not -path '*/tests/*' \
+        -not -path 'crates/crypto/src/*' -not -path 'crates/bench/src/bin/micro_ct.rs' \
+        -print | sort | while read -r f; do
+        awk -v f="$f" '/^#\[cfg\(test\)\]/{exit} {print f":"FNR":"$0}' "$f"
+    done \
+    | grep -E 'with_backend|CryptoBackend::' \
+    | grep -vE '^[^:]+:[0-9]+:\s*//' || true)
+if [ -n "$lane_offenders" ]; then
+    echo "FAIL: crypto engine pinned outside nexus-crypto, tests and micro_ct:" >&2
+    echo "$lane_offenders" >&2
+    echo "production code must use the CPU-dispatched default constructors" >&2
+    echo "(Aes::new, AesGcm::new, AesGcmSiv::new)." >&2
+    exit 1
+fi
+selector_offenders=$(grep -rnE 'NEXUS_CRYPTO_FORCE_PORTABLE|CryptoProfile|crypto_profile' \
+    crates src tests examples || true)
+if [ -n "$selector_offenders" ]; then
+    echo "FAIL: a user-set crypto-lane selector is back:" >&2
+    echo "$selector_offenders" >&2
+    exit 1
+fi
+echo "ok: the crypto engine is chosen by the CPU alone"
+
 echo "== executor scale-harness audit =="
 # The scale story (DESIGN.md §14) is "simulated clients are futures, not
 # OS threads". Two static gates keep it honest:
